@@ -201,47 +201,6 @@ void BM_MssVerify(benchmark::State& state) {
 }
 BENCHMARK(BM_MssVerify);
 
-// Protocol I's hot path: N independent MSS signatures verified in one
-// VerifyBatch call (chain walks pooled through the multi-buffer engine)
-// vs N sequential Verify calls. Same results, same audit choke point.
-void BM_VerifyBatch(benchmark::State& state) {
-  const size_t n = state.range(0);
-  const bool batched = state.range(1) == 1;
-  MerkleSigner signer(util::ToBytes("batch-bench"), /*height=*/8);
-  const Bytes pk = signer.public_key();
-  std::vector<Bytes> msgs, sigs;
-  msgs.reserve(n);
-  sigs.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    msgs.push_back(util::ToBytes("h(M(D) || " + std::to_string(i) + ")"));
-    sigs.push_back(*signer.Sign(msgs.back()));
-  }
-  std::vector<VerifyRequest> requests;
-  requests.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    requests.push_back({SchemeId::kMerkleSig, &pk, &msgs[i], &sigs[i]});
-  }
-  for (auto _ : state) {
-    if (batched) {
-      std::vector<Status> results = VerifyBatch(requests);
-      benchmark::DoNotOptimize(results);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        Status s = Verify(SchemeId::kMerkleSig, pk, msgs[i], sigs[i]);
-        benchmark::DoNotOptimize(s);
-      }
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(batched ? "VerifyBatch" : "serial");
-}
-BENCHMARK(BM_VerifyBatch)
-    ->Args({4, 0})
-    ->Args({4, 1})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 TCVS_BENCHMARK_JSON_MAIN("bench_crypto");

@@ -1,17 +1,9 @@
 #include "core/fingerprint.h"
 
-#include "util/logging.h"
 #include "util/serde.h"
 
 namespace tcvs {
 namespace core {
-
-Bytes XorBytes(const Bytes& a, const Bytes& b) {
-  TCVS_CHECK(a.size() == b.size());
-  Bytes out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] ^ b[i];
-  return out;
-}
 
 crypto::Digest StateFingerprint(const crypto::Digest& root, uint64_t ctr,
                                 uint32_t creator) {

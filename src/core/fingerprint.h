@@ -10,10 +10,6 @@ namespace core {
 /// Reserved "creator" id of the initial database state D₀ (no user made it).
 inline constexpr uint32_t kInitialCreator = 0;
 
-/// \brief XOR of two equal-length byte strings (the σ-register accumulation
-/// of Protocols II/III). Mismatched lengths are a programming error.
-Bytes XorBytes(const Bytes& a, const Bytes& b);
-
 /// \brief State fingerprint h(M(D) ‖ ctr ‖ creator) of Protocol II: the
 /// database root digest, the operation counter, and the id of the user whose
 /// operation produced this state. Tagging states with their creating user is

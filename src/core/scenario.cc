@@ -194,7 +194,7 @@ ScenarioReport Scenario::BuildReport(const sim::SimReport& sim_report) {
 
   uint64_t max_gctr = 0, max_checkpoint = 0;
   for (auto& [id, user] : users_) {
-    max_gctr = std::max(max_gctr, user->gctr());
+    max_gctr = std::max(max_gctr, user->registers().gctr);
     max_checkpoint = std::max(max_checkpoint, user->checkpoint_gctr());
   }
   report.rollback_ops = max_gctr - max_checkpoint;

@@ -18,9 +18,8 @@ uint32_t AuditorOf(uint64_t epoch, uint32_t num_users) {
 }
 }  // namespace
 
-ProtocolUser::ProtocolUser(Options options) : options_(std::move(options)) {
-  sigma_.assign(crypto::kDigestSize, 0);
-  last_ = InitialFingerprint(Tagged());
+ProtocolUser::ProtocolUser(Options options)
+    : options_(std::move(options)), registers_(Registers::Initial(Tagged())) {
   auto it = options_.config.user_periods.find(options_.id);
   period_ = (it == options_.config.user_periods.end()) ? 1 : it->second;
   if (period_ == 0) period_ = 1;
@@ -192,8 +191,7 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
     // That credulity is exactly what the experiments price verification
     // against, so the reply is consumed straight from quarantine.
     if (resp.found) *observed = resp.answer;
-    gctr_ = resp.ctr + 1;
-    ++lctr_;
+    registers_.Count(resp.ctr);
     return true;
   }
 
@@ -244,14 +242,15 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
 
   // 4. Counter monotonicity (Protocol II step 4): the server may never show
   //    this user a counter older than one it has already seen.
-  if (UsesXorRegisters() && resp.ctr < gctr_) {
+  if (UsesXorRegisters() && resp.ctr < registers_.gctr) {
     util::AuditEvent event(util::AuditEventKind::kCounterRegression);
     event.user = options_.id;
     event.ctr = resp.ctr;
-    event.gctr = gctr_;
+    event.gctr = registers_.gctr;
     event.epoch = current_epoch_;
     event.detail = "server presented counter " + std::to_string(resp.ctr) +
-                   " after this user already saw " + std::to_string(gctr_);
+                   " after this user already saw " +
+                   std::to_string(registers_.gctr);
     util::AuditLog::Instance().Emit(std::move(event));
     // A regressed counter is fork evidence in itself: the server claims a
     // state on a branch this user already advanced past (a rollback or a
@@ -262,16 +261,17 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
     util::AuditEvent fork(util::AuditEventKind::kForkDetected);
     fork.user = options_.id;
     fork.ctr = resp.ctr;
-    fork.gctr = gctr_;
+    fork.gctr = registers_.gctr;
     fork.epoch = current_epoch_;
-    fork.expected_digest = last_;
+    fork.expected_digest = registers_.last;
     fork.actual_digest = Fp(pre_root, resp.ctr, resp.creator);
     fork.detail = "counter regression fork: server resurrected ctr " +
                   std::to_string(resp.ctr) + " behind this user's " +
-                  std::to_string(gctr_);
+                  std::to_string(registers_.gctr);
     util::AuditLog::Instance().Emit(std::move(fork));
     ctx->ReportDetection("stale counter " + std::to_string(resp.ctr) +
-                         " (already saw " + std::to_string(gctr_) + ")");
+                         " (already saw " + std::to_string(registers_.gctr) +
+                         ")");
     return false;
   }
 
@@ -289,8 +289,8 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
       EpochStateBlob blob;
       blob.user = options_.id;
       blob.epoch = current_epoch_;
-      blob.sigma = sigma_;
-      blob.last = last_;
+      blob.sigma = registers_.sigma;
+      blob.last = registers_.last;
       auto sig = options_.signer->Sign(blob.Preimage());
       if (!sig.ok()) {
         // Key exhausted: this user leaves the system (failures are out of
@@ -302,7 +302,7 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
       }
       blob.signature = std::move(sig).ValueOrDie();
       upload_queue_.push_back(std::move(blob));
-      sigma_.assign(crypto::kDigestSize, 0);
+      registers_.sigma.assign(crypto::kDigestSize, 0);
       current_epoch_ = resp.epoch;
     }
   }
@@ -362,9 +362,7 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
   if (UsesXorRegisters()) {
     const crypto::Digest pre_fp = Fp(pre_root, verified.ctr, verified.creator);
     const crypto::Digest post_fp = Fp(post_root, verified.ctr + 1, options_.id);
-    sigma_ = XorBytes(sigma_, pre_fp);
-    sigma_ = XorBytes(sigma_, post_fp);
-    last_ = post_fp;
+    registers_.Fold(pre_fp, post_fp, verified.ctr);
     if (options_.config.journal_len > 0) {
       journal_.push_back(TransitionRecord{pre_fp, post_fp, verified.ctr,
                                           verified.creator, options_.id});
@@ -372,9 +370,9 @@ bool ProtocolUser::VerifyAndFold(sim::RoundContext* ctx,
         journal_.erase(journal_.begin());
       }
     }
+  } else {
+    registers_.Count(verified.ctr);
   }
-  gctr_ = verified.ctr + 1;
-  ++lctr_;
 
   // 8. Protocol I / token baseline: return the signed new state to the
   //    server (the blocking extra message of §4.2).
@@ -482,10 +480,10 @@ void ProtocolUser::SendSyncReport(sim::RoundContext* ctx, SyncState* sync) {
   SyncReport report;
   report.sync_id = sync->sync_id;
   report.user = options_.id;
-  report.lctr = lctr_;
-  report.gctr = gctr_;
-  report.sigma = sigma_;
-  report.last = last_;
+  report.lctr = registers_.lctr;
+  report.gctr = registers_.gctr;
+  report.sigma = registers_.sigma;
+  report.last = registers_.last;
   report.journal = journal_;
   ctx->Broadcast(kMsgSyncReport, report.Serialize());
   // The user's own report joins the pool through the same quarantine type as
@@ -536,7 +534,7 @@ void ProtocolUser::FinishSyncSuccess(sim::RoundContext* ctx,
   ops_since_sync_ = 0;
   // Everything verified up to the counters covered by this sync: advance the
   // rollback checkpoint.
-  checkpoint_gctr_ = gctr_;
+  checkpoint_gctr_ = registers_.gctr;
 }
 
 // ---------------------------------------------------------------------------
@@ -568,18 +566,24 @@ void ProtocolUser::StepTreeSyncOne(sim::RoundContext* ctx, SyncState* sync_ptr) 
     bool have_left = left > options_.num_users || sync.child_aggs.count(left);
     bool have_right = right > options_.num_users || sync.child_aggs.count(right);
     if (have_left && have_right) {
+      Telescope subtree(SyncClosure(), {});
+      subtree.Pool(registers_.sigma, registers_.lctr);
+      for (const auto& [child, quarantined] : sync.child_aggs) {
+        // Child aggregates pool into this subtree's aggregate unverified —
+        // only the final total-vs-register match check can vouch for them.
+        const AggReport& report = quarantined.untrusted();
+        subtree.Pool(report.sigma_xor, report.lctr_sum);
+      }
+      if (subtree.malformed()) {
+        ctx->ReportDetection("malformed aggregation report");
+        dead_ = true;
+        return;
+      }
       AggReport agg;
       agg.sync_id = sync.sync_id;
       agg.user = options_.id;
-      agg.sigma_xor = sigma_;
-      agg.lctr_sum = lctr_;
-      for (const auto& [child, quarantined] : sync.child_aggs) {
-        // Child aggregates fold into this subtree's aggregate unverified —
-        // only the final total-vs-register match check can vouch for them.
-        const AggReport& report = quarantined.untrusted();
-        agg.sigma_xor = XorBytes(agg.sigma_xor, report.sigma_xor);
-        agg.lctr_sum += report.lctr_sum;
-      }
+      agg.sigma_xor = subtree.sigma();
+      agg.lctr_sum = subtree.lctr_sum();
       sync.reported = true;
       if (options_.id == 1) {
         // Root: the aggregate is the total; disseminate it.
@@ -601,13 +605,16 @@ void ProtocolUser::StepTreeSyncOne(sim::RoundContext* ctx, SyncState* sync_ptr) 
   // Phase 2 (total → everyone): check the local match condition; a matching
   // user announces success.
   if (sync.total_received && sync.success_deadline.has_value()) {
-    bool match;
-    if (options_.config.protocol == ProtocolKind::kProtocolI) {
-      match = (gctr_ == sync.lctr_total);
-    } else {
-      match = (XorBytes(InitialFingerprint(Tagged()), last_) == sync.sigma_total);
-    }
-    if (match) {
+    Telescope total(SyncClosure(), {InitialFingerprint(Tagged())});
+    total.Pool(sync.sigma_total, sync.lctr_total);
+    total.Candidate(registers_);
+    // Not matching this user's state is no verdict yet: another user's
+    // success may still arrive before the deadline.
+    if (!total.closed() && ctx->round() < *sync.success_deadline) return;
+    if (total.Verdict(options_.id, registers_, current_epoch_,
+                      "aggregation-tree sync " +
+                          std::to_string(sync.sync_id))
+            .ok()) {
       AggSuccess success;
       success.sync_id = sync.sync_id;
       success.user = options_.id;
@@ -615,12 +622,10 @@ void ProtocolUser::StepTreeSyncOne(sim::RoundContext* ctx, SyncState* sync_ptr) 
       FinishSyncSuccess(ctx, sync.sync_id);
       return;
     }
-    if (ctx->round() >= *sync.success_deadline) {
-      ctx->ReportDetection(
-          "sync-up (aggregation tree) failed: no user's state matches the "
-          "aggregate — server deviated");
-      dead_ = true;
-    }
+    ctx->ReportDetection(
+        "sync-up (aggregation tree) failed: no user's state matches the "
+        "aggregate — server deviated");
+    dead_ = true;
   }
 }
 
@@ -680,109 +685,51 @@ void ProtocolUser::EvaluateSyncIfComplete(sim::RoundContext* ctx) {
 
 void ProtocolUser::EvaluateBroadcastSync(sim::RoundContext* ctx, uint64_t id) {
   SyncState& sync = syncs_.at(id);
-  bool success = false;
-  uint64_t lctr_total = 0;
-  // The pooled reports are consumed straight from quarantine: the pooled
+  // The pooled reports are consumed straight from quarantine: the telescope
   // check below IS their verification — it either passes (some user's state
   // explains the pool) or kills the client. No register is folded from them.
-  for (const auto& [user, report] : sync.reports) {
-    lctr_total += report.untrusted().lctr;
+  Telescope telescope(SyncClosure(), {InitialFingerprint(Tagged())});
+  for (const auto& [user, quarantined] : sync.reports) {
+    const SyncReport& report = quarantined.untrusted();
+    telescope.Add(
+        Registers{report.sigma, report.last, report.gctr, report.lctr});
   }
-  // Protocol II divergence evidence, captured for the audit trail: this
-  // user's expected pooled XOR vs the one actually observed.
-  Bytes expected_x;
-  Bytes actual_x;
-  if (options_.config.protocol == ProtocolKind::kProtocolI) {
-    for (const auto& [user, report] : sync.reports) {
-      if (report.untrusted().gctr == lctr_total) {
-        success = true;
-        break;
-      }
-    }
-  } else {
-    Bytes x(crypto::kDigestSize, 0);
-    for (const auto& [user, report] : sync.reports) {
-      if (report.untrusted().sigma.size() != crypto::kDigestSize) {
-        ctx->ReportDetection("malformed sync report");
-        dead_ = true;
-        return;
-      }
-      x = XorBytes(x, report.untrusted().sigma);
-    }
-    const Bytes f0 = InitialFingerprint(Tagged());
-    expected_x = XorBytes(f0, last_);
-    actual_x = x;
-    for (const auto& [user, report] : sync.reports) {
-      if (XorBytes(f0, report.untrusted().last) == x) {
-        success = true;
-        break;
-      }
-    }
+  if (telescope
+          .Verdict(options_.id, registers_, current_epoch_,
+                   "sync " + std::to_string(id))
+          .ok()) {
+    FinishSyncSuccess(ctx, id);
+    return;
   }
-
-  if (!success) {
-    {
-      util::AuditEvent event(util::AuditEventKind::kSyncUpFail);
-      event.user = options_.id;
-      event.ctr = gctr_;
-      event.epoch = current_epoch_;
-      event.gctr = gctr_;
-      event.lctr_sum = lctr_total;
-      event.detail = "sync-up check failed: no user's state explains the "
-                     "pooled reports";
-      util::AuditLog::Instance().Emit(std::move(event));
-    }
-    {
-      // The paper's fork signal: no user's (f0 XOR last) accounts for the
-      // pooled register XOR, so at least two users were shown diverging
-      // histories. Record both sides of the divergence.
-      util::AuditEvent event(util::AuditEventKind::kForkDetected);
-      event.user = options_.id;
-      event.ctr = gctr_;
-      event.epoch = current_epoch_;
-      event.gctr = gctr_;
-      event.lctr_sum = lctr_total;
-      event.expected_digest = expected_x;
-      event.actual_digest = actual_x;
-      event.detail = "fork/partition detected at sync " + std::to_string(id);
-      util::AuditLog::Instance().Emit(std::move(event));
-    }
-    std::string reason = "sync-up check failed: server deviated";
-    if (options_.config.journal_len > 0) {
-      // Fault localization (future-work extension): pool the bounded
-      // journals from all reports and name the earliest inconsistent
-      // counter.
-      std::vector<TransitionRecord> pooled;
-      for (const auto& [user, report] : sync.reports) {
-        pooled.insert(pooled.end(), report.untrusted().journal.begin(),
-                      report.untrusted().journal.end());
-      }
-      if (auto fault = LocalizeFault(pooled); fault.has_value()) {
-        util::AuditEvent event(util::AuditEventKind::kForensicsLocalized);
-        event.user = options_.id;
-        event.ctr = fault->first_bad_ctr;
-        event.epoch = current_epoch_;
-        event.detail = fault->explanation;
-        util::AuditLog::Instance().Emit(std::move(event));
-        reason += "; first fault at counter " +
-                  std::to_string(fault->first_bad_ctr) + " (" +
-                  fault->explanation + ")";
-      }
-    }
-    ctx->ReportDetection(reason);
+  if (telescope.malformed()) {
+    ctx->ReportDetection("malformed sync report");
     dead_ = true;
     return;
   }
-  {
-    util::AuditEvent event(util::AuditEventKind::kSyncUpPass);
-    event.user = options_.id;
-    event.ctr = gctr_;
-    event.epoch = current_epoch_;
-    event.gctr = gctr_;
-    event.lctr_sum = lctr_total;
-    util::AuditLog::Instance().Emit(std::move(event));
+  std::string reason = "sync-up check failed: server deviated";
+  if (options_.config.journal_len > 0) {
+    // Fault localization (future-work extension): pool the bounded
+    // journals from all reports and name the earliest inconsistent
+    // counter.
+    std::vector<TransitionRecord> pooled;
+    for (const auto& [user, report] : sync.reports) {
+      pooled.insert(pooled.end(), report.untrusted().journal.begin(),
+                    report.untrusted().journal.end());
+    }
+    if (auto fault = LocalizeFault(pooled); fault.has_value()) {
+      util::AuditEvent event(util::AuditEventKind::kForensicsLocalized);
+      event.user = options_.id;
+      event.ctr = fault->first_bad_ctr;
+      event.epoch = current_epoch_;
+      event.detail = fault->explanation;
+      util::AuditLog::Instance().Emit(std::move(event));
+      reason += "; first fault at counter " +
+                std::to_string(fault->first_bad_ctr) + " (" +
+                fault->explanation + ")";
+    }
   }
-  FinishSyncSuccess(ctx, id);
+  ctx->ReportDetection(reason);
+  dead_ = true;
 }
 
 void ProtocolUser::MaybeRequestAudit(sim::RoundContext* ctx) {
@@ -834,34 +781,20 @@ void ProtocolUser::HandleEpochReply(sim::RoundContext* ctx,
   const uint64_t e = reply.epoch;
   audit_inflight_epoch_.reset();
 
-  // Collect and authenticate one blob per user for epoch e. All owner
-  // signatures in the reply verify in ONE batched pass (the hash-chain
-  // walks share the multi-buffer engine); the endorsement stays per-blob —
-  // each SignatureVerified token corresponds to exactly one OK verdict.
+  // Collect and authenticate one blob per user for epoch e.
   auto collect = [&](const std::vector<EpochStateBlob>& blobs, uint64_t epoch,
                      std::map<uint32_t, EpochStateBlob>* out) -> Status {
-    std::vector<Bytes> preimages;
-    preimages.reserve(blobs.size());
     for (const auto& blob : blobs) {
       if (blob.epoch != epoch) {
         return Status::VerificationFailure(
             "stored state carries wrong epoch tag");
       }
-      preimages.push_back(blob.Preimage());
-    }
-    std::vector<crypto::KeyStore::SignatureClaim> claims;
-    claims.reserve(blobs.size());
-    for (size_t i = 0; i < blobs.size(); ++i) {
-      claims.push_back({blobs[i].user, &preimages[i], &blobs[i].signature});
-    }
-    const std::vector<Status> verdicts =
-        options_.keystore->VerifyFromBatch(claims);
-    for (size_t i = 0; i < blobs.size(); ++i) {
-      TCVS_RETURN_NOT_OK(verdicts[i]);
+      TCVS_RETURN_NOT_OK(options_.keystore->VerifyFrom(
+          blob.user, blob.Preimage(), blob.signature));
       // The owner's signature is the verification — the server is only a
       // blob store here, so SignatureVerified endorses each blob alone.
       EpochStateBlob verified =
-          TCVS_ENDORSE(util::Tainted<EpochStateBlob>(blobs[i]),
+          TCVS_ENDORSE(util::Tainted<EpochStateBlob>(blob),
                        crypto::SignatureVerified{});
       if (out->count(verified.user) > 0 && (*out)[verified.user] != verified) {
         return Status::VerificationFailure("conflicting stored states");
@@ -883,11 +816,13 @@ void ProtocolUser::HandleEpochReply(sim::RoundContext* ctx,
     dead_ = true;
     return;
   }
-  std::map<uint32_t, EpochStateBlob> prev;
-  std::vector<Bytes> prev_lasts;
+  // Epoch e's transitions must telescope from some user's last state of
+  // epoch e−1 (f0 for the first epoch) to some user's last state of e.
+  std::vector<Bytes> starts;
   if (e == 0) {
-    prev_lasts.push_back(InitialFingerprint(/*tagged=*/true));
+    starts.push_back(InitialFingerprint(/*tagged=*/true));
   } else {
+    std::map<uint32_t, EpochStateBlob> prev;
     st = collect(reply.prev_states, e - 1, &prev);
     if (!st.ok()) {
       ctx->ReportDetection("epoch " + std::to_string(e) +
@@ -895,28 +830,22 @@ void ProtocolUser::HandleEpochReply(sim::RoundContext* ctx,
       dead_ = true;
       return;
     }
-    for (const auto& [user, blob] : prev) prev_lasts.push_back(blob.last);
+    for (const auto& [user, blob] : prev) starts.push_back(blob.last);
   }
-
-  Bytes x(crypto::kDigestSize, 0);
-  for (const auto& [user, blob] : states) x = XorBytes(x, blob.sigma);
-
-  bool success = false;
-  for (const auto& p : prev_lasts) {
-    for (const auto& [user, blob] : states) {
-      if (XorBytes(p, blob.last) == x) {
-        success = true;
-        break;
-      }
-    }
-    if (success) break;
+  Telescope telescope(Closure::kFingerprints, std::move(starts));
+  for (const auto& [user, blob] : states) {
+    telescope.Add(Registers{blob.sigma, blob.last, 0, 0});
   }
-  if (!success) {
+  const EpochStateBlob& mine = states.at(options_.id);
+  if (!telescope
+           .Verdict(options_.id,
+                    Registers{mine.sigma, mine.last, registers_.gctr, 0}, e,
+                    "epoch " + std::to_string(e) + " audit")
+           .ok()) {
     ctx->ReportDetection("epoch " + std::to_string(e) +
                          " audit failed: state transitions do not form a "
                          "single path");
     dead_ = true;
-    return;
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/config.h"
 #include "core/fingerprint.h"
+#include "core/registers.h"
 #include "core/wire.h"
 #include "crypto/keystore.h"
 #include "crypto/merkle_sig.h"
@@ -57,8 +58,7 @@ class ProtocolUser : public sim::Agent {
   /// \name Statistics for the experiment harness.
   /// @{
   uint64_t ops_completed() const { return ops_completed_; }
-  uint64_t lctr() const { return lctr_; }
-  uint64_t gctr() const { return gctr_; }
+  const Registers& registers() const { return registers_; }
   /// Sum over completed ops of (completion round − eligible round).
   uint64_t latency_sum() const { return latency_sum_; }
   uint64_t latency_max() const { return latency_max_; }
@@ -70,8 +70,6 @@ class ProtocolUser : public sim::Agent {
     return script_pos_ >= options_.script.ops.size() &&
            (!inflight_.has_value() || inflight_->is_null);
   }
-  const Bytes& sigma() const { return sigma_; }
-  const Bytes& last() const { return last_; }
   /// @}
 
  private:
@@ -114,6 +112,11 @@ class ProtocolUser : public sim::Agent {
   }
   bool Tagged() const {
     return options_.config.protocol != ProtocolKind::kProtocolIINaive;
+  }
+  Closure SyncClosure() const {
+    return options_.config.protocol == ProtocolKind::kProtocolI
+               ? Closure::kCounters
+               : Closure::kFingerprints;
   }
   bool UsesSignedRoots() const {
     ProtocolKind p = options_.config.protocol;
@@ -166,11 +169,7 @@ class ProtocolUser : public sim::Agent {
   size_t script_pos_ = 0;
   std::optional<Inflight> inflight_;
 
-  // Protocol registers.
-  uint64_t lctr_ = 0;
-  uint64_t gctr_ = 0;
-  Bytes sigma_;
-  Bytes last_;
+  Registers registers_;
   uint64_t ops_since_sync_ = 0;
 
   // Sync machinery. Under message delays > 1 round, two users can announce

@@ -58,30 +58,5 @@ Status KeyStore::VerifyFrom(PrincipalId principal, const Bytes& message,
   return Verify(cert.scheme, cert.public_key, message, signature);
 }
 
-std::vector<Status> KeyStore::VerifyFromBatch(
-    const std::vector<SignatureClaim>& claims) const {
-  std::vector<Status> results(claims.size(), Status::OK());
-  std::vector<VerifyRequest> requests;
-  std::vector<size_t> claim_of_request;
-  requests.reserve(claims.size());
-  claim_of_request.reserve(claims.size());
-  for (size_t i = 0; i < claims.size(); ++i) {
-    auto it = certs_.find(claims[i].principal);
-    if (it == certs_.end()) {
-      results[i] = Status::NotFound("no certificate for principal " +
-                                    std::to_string(claims[i].principal));
-      continue;
-    }
-    requests.push_back(VerifyRequest{it->second.scheme, &it->second.public_key,
-                                     claims[i].message, claims[i].signature});
-    claim_of_request.push_back(i);
-  }
-  std::vector<Status> verified = VerifyBatch(requests);
-  for (size_t k = 0; k < verified.size(); ++k) {
-    results[claim_of_request[k]] = std::move(verified[k]);
-  }
-  return results;
-}
-
 }  // namespace crypto
 }  // namespace tcvs

@@ -76,22 +76,6 @@ class KeyStore {
   TCVS_ENDORSER Status VerifyFrom(PrincipalId principal, const Bytes& message,
                                   const Bytes& signature) const;
 
-  /// One claim of a VerifyFromBatch call: `signature` over `message`,
-  /// attributed to `principal`. Pointers are borrowed for the call only.
-  struct SignatureClaim {
-    PrincipalId principal = 0;
-    const Bytes* message = nullptr;
-    const Bytes* signature = nullptr;
-  };
-
-  /// Batched VerifyFrom: verifies every claim in one crypto::VerifyBatch
-  /// pass, amortizing the hash-chain walks across the whole batch. The
-  /// result vector lines up with `claims`; each OK entry justifies
-  /// endorsing THAT claim's value with SignatureVerified — exactly the
-  /// per-value guarantee VerifyFrom gives, batch or no batch.
-  TCVS_ENDORSER std::vector<Status> VerifyFromBatch(
-      const std::vector<SignatureClaim>& claims) const;
-
   size_t size() const { return certs_.size(); }
 
  private:

@@ -40,28 +40,6 @@ class MerkleSigner : public Signer {
   static Status VerifySignature(const Bytes& public_key, const Bytes& message,
                                 const Bytes& signature);
 
-  /// \brief An MSS signature parsed for batched verification. The embedded
-  /// WOTS signature still needs its chain walk — the expensive half, which
-  /// crypto::VerifyBatch pools across many signatures — while the leaf
-  /// index and authentication path are ready for FinishVerify.
-  struct PreparedSignature {
-    WotsParams params;
-    uint64_t leaf = 0;
-    size_t height = 0;
-    Bytes wots_sig;
-    Bytes auth_path;  // `height` sibling digests, leaf level first.
-  };
-
-  /// Parses and shape-checks `signature` without hashing anything.
-  static Result<PreparedSignature> Prepare(const Bytes& signature);
-
-  /// Completes verification: folds `wots_pk` (the WOTS public key implied
-  /// by the chain walk over `prepared.wots_sig`) into the leaf, walks the
-  /// authentication path, and compares against the root `public_key`.
-  static Status FinishVerify(const Bytes& public_key,
-                             const PreparedSignature& prepared,
-                             const Bytes& wots_pk);
-
  private:
   Bytes LeafSeed(uint64_t leaf) const;
 

@@ -1,7 +1,5 @@
 #include "crypto/signature.h"
 
-#include <iterator>
-#include <optional>
 #include <string>
 
 #include "crypto/lamport.h"
@@ -58,96 +56,6 @@ Status Verify(SchemeId scheme, const Bytes& public_key, const Bytes& message,
                                                            signature));
   }
   return Status::InvalidArgument("unknown signature scheme");
-}
-
-std::vector<Status> VerifyBatch(const std::vector<VerifyRequest>& requests) {
-  std::vector<Status> results(requests.size(), Status::OK());
-
-  if (util::CostCounters* cost = util::CurrentCostCounters()) {
-    // Lamport items route through Verify(), which counts them itself.
-    for (const VerifyRequest& req : requests) {
-      if (req.scheme != SchemeId::kLamport) cost->sig_verifies++;
-    }
-  }
-
-  // Hash-based signatures contribute their chains to one shared pool; a
-  // pending item remembers its slice of the pool and (for MSS) the parsed
-  // envelope needed to finish after the walk.
-  struct Pending {
-    size_t request = 0;
-    size_t first_chain = 0;
-    size_t n_chains = 0;
-    std::optional<MerkleSigner::PreparedSignature> mss;
-  };
-  std::vector<Digest> pool;
-  std::vector<uint32_t> steps;
-  std::vector<Pending> pending;
-
-  auto admit = [&](size_t i, WotsChainWalk walk,
-                   std::optional<MerkleSigner::PreparedSignature> mss) {
-    pending.push_back(Pending{i, pool.size(), walk.chains.size(), std::move(mss)});
-    pool.insert(pool.end(), std::make_move_iterator(walk.chains.begin()),
-                std::make_move_iterator(walk.chains.end()));
-    steps.insert(steps.end(), walk.steps.begin(), walk.steps.end());
-  };
-
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const VerifyRequest& req = requests[i];
-    switch (req.scheme) {
-      case SchemeId::kLamport:
-        // Lamport reveals preimages directly — no chains to amortize.
-        results[i] =
-            Verify(req.scheme, *req.public_key, *req.message, *req.signature);
-        break;
-      case SchemeId::kWinternitz: {
-        auto walk = WinternitzSigner::WalkFromSignature(*req.message,
-                                                        *req.signature);
-        if (!walk.ok()) {
-          results[i] = Audited(req.scheme, walk.status());
-          break;
-        }
-        admit(i, std::move(*walk), std::nullopt);
-        break;
-      }
-      case SchemeId::kMerkleSig: {
-        auto prepared = MerkleSigner::Prepare(*req.signature);
-        if (!prepared.ok()) {
-          results[i] = Audited(req.scheme, prepared.status());
-          break;
-        }
-        auto walk = WinternitzSigner::WalkFromSignature(
-            *req.message, prepared->wots_sig, prepared->params);
-        if (!walk.ok()) {
-          results[i] = Audited(req.scheme, walk.status());
-          break;
-        }
-        admit(i, std::move(*walk), std::move(*prepared));
-        break;
-      }
-      default:
-        results[i] = Status::InvalidArgument("unknown signature scheme");
-        break;
-    }
-  }
-
-  // One lock-step walk over every chain of every admitted signature.
-  AdvanceChains(&pool, std::move(steps));
-
-  for (const Pending& p : pending) {
-    const VerifyRequest& req = requests[p.request];
-    Bytes wots_pk =
-        WinternitzSigner::FoldPublicKey(pool.data() + p.first_chain, p.n_chains);
-    Status st;
-    if (p.mss.has_value()) {
-      st = MerkleSigner::FinishVerify(*req.public_key, *p.mss, wots_pk);
-    } else if (util::ConstantTimeEqual(wots_pk, *req.public_key)) {
-      st = Status::OK();
-    } else {
-      st = Status::VerificationFailure("Winternitz signature mismatch");
-    }
-    results[p.request] = Audited(req.scheme, std::move(st));
-  }
-  return results;
 }
 
 }  // namespace crypto

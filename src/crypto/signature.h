@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "crypto/sha256.h"
 #include "util/bytes.h"
@@ -47,25 +46,6 @@ class Signer {
 ///         InvalidArgument if the signature is malformed.
 Status Verify(SchemeId scheme, const Bytes& public_key, const Bytes& message,
               const Bytes& signature);
-
-/// One item of a VerifyBatch call. Pointers (never null) instead of copies:
-/// a batch borrows its inputs for the duration of the call only.
-struct VerifyRequest {
-  SchemeId scheme = SchemeId::kMerkleSig;
-  const Bytes* public_key = nullptr;
-  const Bytes* message = nullptr;
-  const Bytes* signature = nullptr;
-};
-
-/// \brief Verifies many signatures in one pass. Semantically identical to
-/// calling Verify per request — results[i] is exactly what Verify would
-/// return for requests[i], and every failure is audited through the same
-/// choke point — but the hash-chain walks of all Winternitz and MSS
-/// signatures are pooled and advanced in lock-step through the multi-buffer
-/// SHA-256 engine, so a batch of N costs far fewer compression calls than
-/// N sequential verifications. Each message's digest is computed once and
-/// shared across that signature's chains.
-std::vector<Status> VerifyBatch(const std::vector<VerifyRequest>& requests);
 
 }  // namespace crypto
 }  // namespace tcvs

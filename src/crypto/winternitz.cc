@@ -14,6 +14,13 @@ Digest ChainStart(const Bytes& seed, size_t chain_index) {
   return Prf2(seed, kWotsDomain, chain_index);
 }
 
+// Compresses chain ends into the 32-byte public key: H(end₀ ‖ … ‖ endₙ).
+Bytes FoldPublicKey(const std::vector<Digest>& ends) {
+  Sha256 h;
+  for (const Digest& end : ends) h.Update(end);
+  return h.Finish();
+}
+
 }  // namespace
 
 void AdvanceChains(std::vector<Digest>* chains, std::vector<uint32_t> steps) {
@@ -93,7 +100,7 @@ WinternitzSigner::WinternitzSigner(const Bytes& seed, WotsParams params)
   }
   AdvanceChains(&chains, std::vector<uint32_t>(params_.total_chains(),
                                               params_.chain_len()));
-  public_key_ = FoldPublicKey(chains.data(), chains.size());
+  public_key_ = FoldPublicKey(chains);
 }
 
 Result<Bytes> WinternitzSigner::Sign(const Bytes& message) {
@@ -115,38 +122,27 @@ Result<Bytes> WinternitzSigner::Sign(const Bytes& message) {
   return sig;
 }
 
-Result<WotsChainWalk> WinternitzSigner::WalkFromSignature(const Bytes& message,
-                                                          const Bytes& signature,
-                                                          WotsParams params) {
+Result<Bytes> WinternitzSigner::PublicKeyFromSignature(const Bytes& message,
+                                                       const Bytes& signature,
+                                                       WotsParams params) {
   Digest md = Sha256::Hash(message);
   std::vector<uint32_t> chunks = Chunks(md, params);
   if (signature.size() != chunks.size() * kDigestSize) {
     return Status::InvalidArgument("Winternitz signature has wrong size");
   }
-  WotsChainWalk walk;
-  walk.chains.reserve(chunks.size());
-  walk.steps.reserve(chunks.size());
+  // Chain i holds the signature's i-th value; chain_len − chunk steps remain
+  // to reach its end.
+  std::vector<Digest> chains;
+  std::vector<uint32_t> steps;
+  chains.reserve(chunks.size());
+  steps.reserve(chunks.size());
   for (size_t i = 0; i < chunks.size(); ++i) {
-    walk.chains.emplace_back(signature.begin() + i * kDigestSize,
-                             signature.begin() + (i + 1) * kDigestSize);
-    walk.steps.push_back(params.chain_len() - chunks[i]);
+    chains.emplace_back(signature.begin() + i * kDigestSize,
+                        signature.begin() + (i + 1) * kDigestSize);
+    steps.push_back(params.chain_len() - chunks[i]);
   }
-  return walk;
-}
-
-Bytes WinternitzSigner::FoldPublicKey(const Digest* ends, size_t n) {
-  Sha256 h;
-  for (size_t i = 0; i < n; ++i) h.Update(ends[i]);
-  return h.Finish();
-}
-
-Result<Bytes> WinternitzSigner::PublicKeyFromSignature(const Bytes& message,
-                                                       const Bytes& signature,
-                                                       WotsParams params) {
-  TCVS_ASSIGN_OR_RETURN(WotsChainWalk walk,
-                        WalkFromSignature(message, signature, params));
-  AdvanceChains(&walk.chains, std::move(walk.steps));
-  return FoldPublicKey(walk.chains.data(), walk.chains.size());
+  AdvanceChains(&chains, std::move(steps));
+  return FoldPublicKey(chains);
 }
 
 Status WinternitzSigner::VerifySignature(const Bytes& public_key,

@@ -26,20 +26,9 @@ struct WotsParams {
 /// cᵏ(chains[i]) with k = steps[i]. The chains are independent, so instead
 /// of walking them one at a time, every still-active chain takes one step
 /// per round through the multi-buffer SHA-256 engine (HashManyInto) — the
-/// amortization behind both WOTS keygen and batched verification. The
-/// result is bit-identical to the sequential walk.
+/// amortization behind WOTS keygen, signing and verification. The result is
+/// bit-identical to the sequential walk.
 void AdvanceChains(std::vector<Digest>* chains, std::vector<uint32_t> steps);
-
-/// \brief A WOTS signature unpacked into its hash chains: `chains[i]` holds
-/// the signature's i-th chain value and `steps[i]` how many applications
-/// remain to reach the chain end. After AdvanceChains the folded ends imply
-/// the public key. Produced by WinternitzSigner::WalkFromSignature so the
-/// batched verifier (crypto::VerifyBatch) can pool chains across many
-/// signatures before walking any of them.
-struct WotsChainWalk {
-  std::vector<Digest> chains;
-  std::vector<uint32_t> steps;
-};
 
 /// \brief Winternitz one-time signatures (WOTS) with a *compressed* 32-byte
 /// public key: pk = H(end₀ ‖ end₁ ‖ … ‖ end_{L−1}).
@@ -63,16 +52,6 @@ class WinternitzSigner : public Signer {
   static Result<Bytes> PublicKeyFromSignature(const Bytes& message,
                                               const Bytes& signature,
                                               WotsParams params = WotsParams{});
-
-  /// Unpacks `signature` on `message` into its chain walk (no hashing of
-  /// the chains yet — the caller runs AdvanceChains, possibly pooled with
-  /// other signatures' chains, then folds with FoldPublicKey).
-  static Result<WotsChainWalk> WalkFromSignature(const Bytes& message,
-                                                 const Bytes& signature,
-                                                 WotsParams params = WotsParams{});
-
-  /// Compresses chain ends into the 32-byte public key: H(end₀ ‖ … ‖ endₙ).
-  static Bytes FoldPublicKey(const Digest* ends, size_t n);
 
   /// Verifies against an explicit public key; see crypto::Verify.
   static Status VerifySignature(const Bytes& public_key, const Bytes& message,

@@ -1,7 +1,5 @@
 #include "cvs/trusted.h"
 
-#include <algorithm>
-
 #include "util/audit.h"
 #include "util/metrics.h"
 #include "util/serde.h"
@@ -9,9 +7,7 @@
 namespace tcvs {
 namespace cvs {
 
-using core::kInitialCreator;
 using core::StateFingerprint;
-using core::XorBytes;
 
 namespace {
 
@@ -119,10 +115,10 @@ Bytes ClientState::Serialize() const {
   util::Writer w;
   w.PutString("tcvs-client-state-v2");
   w.PutU32(user_id);
-  w.PutBytes(sigma);
-  w.PutBytes(last);
-  w.PutU64(gctr);
-  w.PutU64(lctr);
+  w.PutBytes(registers.sigma);
+  w.PutBytes(registers.last);
+  w.PutU64(registers.gctr);
+  w.PutU64(registers.lctr);
   w.PutU64(log_size);
   w.PutBytes(log_root);
   return w.Take();
@@ -136,14 +132,14 @@ Result<ClientState> ClientState::Deserialize(const Bytes& data) {
   }
   ClientState s;
   TCVS_ASSIGN_OR_RETURN(s.user_id, r.GetU32());
-  TCVS_ASSIGN_OR_RETURN(s.sigma, r.GetBytes());
-  TCVS_ASSIGN_OR_RETURN(s.last, r.GetBytes());
-  TCVS_ASSIGN_OR_RETURN(s.gctr, r.GetU64());
-  TCVS_ASSIGN_OR_RETURN(s.lctr, r.GetU64());
+  TCVS_ASSIGN_OR_RETURN(s.registers.sigma, r.GetBytes());
+  TCVS_ASSIGN_OR_RETURN(s.registers.last, r.GetBytes());
+  TCVS_ASSIGN_OR_RETURN(s.registers.gctr, r.GetU64());
+  TCVS_ASSIGN_OR_RETURN(s.registers.lctr, r.GetU64());
   TCVS_ASSIGN_OR_RETURN(s.log_size, r.GetU64());
   TCVS_ASSIGN_OR_RETURN(s.log_root, r.GetBytes());
-  if (s.sigma.size() != crypto::kDigestSize ||
-      s.last.size() != crypto::kDigestSize) {
+  if (s.registers.sigma.size() != crypto::kDigestSize ||
+      s.registers.last.size() != crypto::kDigestSize) {
     return Status::InvalidArgument("bad register size in client state");
   }
   return s;
@@ -309,26 +305,23 @@ Result<util::Tainted<ListReply>> UntrustedServer::List(
 // ---------------------------------------------------------------------------
 
 VerifyingClient::VerifyingClient(uint32_t user_id, ServerApi* server)
-    : user_id_(user_id), server_(server), params_(server->tree_params()) {
-  sigma_.assign(crypto::kDigestSize, 0);
-  last_ = core::InitialFingerprint(/*tagged=*/true);
+    : user_id_(user_id),
+      server_(server),
+      registers_(core::Registers::Initial(/*tagged=*/true)),
+      params_(server->tree_params()) {
   log_root_ = crypto::Sha256::Hash("");
 }
 
 VerifyingClient::VerifyingClient(ClientState state, ServerApi* server)
     : user_id_(state.user_id),
       server_(server),
-      sigma_(std::move(state.sigma)),
-      last_(std::move(state.last)),
-      gctr_(state.gctr),
-      lctr_(state.lctr),
+      registers_(std::move(state.registers)),
       log_size_(state.log_size),
       log_root_(std::move(state.log_root)),
       params_(server->tree_params()) {}
 
 ClientState VerifyingClient::state() const {
-  return ClientState{user_id_, sigma_, last_, gctr_, lctr_, log_size_,
-                     log_root_};
+  return ClientState{user_id_, registers_, log_size_, log_root_};
 }
 
 Status VerifyingClient::AuditLog() {
@@ -339,7 +332,7 @@ Status VerifyingClient::AuditLog() {
   const LogCheckpointReply& reply = quarantined.untrusted();
   if (reply.size < log_size_) {
     return Deviation(
-        util::AuditEventKind::kDeviationDetected, user_id_, reply.size, gctr_,
+        util::AuditEventKind::kDeviationDetected, user_id_, reply.size, gctr(),
         "server transparency log shrank from " + std::to_string(log_size_) +
             " to " + std::to_string(reply.size) + ": history rolled back");
   }
@@ -350,7 +343,7 @@ Status VerifyingClient::AuditLog() {
       log_size_, reply.size, old_root, reply.root, reply.consistency);
   if (!st.ok()) {
     return Deviation(
-        util::AuditEventKind::kDeviationDetected, user_id_, reply.size, gctr_,
+        util::AuditEventKind::kDeviationDetected, user_id_, reply.size, gctr(),
         "server transparency log is not an extension of the checkpoint (" +
             st.ToString() + "): history rewritten");
   }
@@ -386,14 +379,14 @@ Result<ServerReply> VerifyingClient::Execute(
   vo_bytes->Record(vo_total);
   if (reply.files.size() != ops.size()) {
     return Deviation(util::AuditEventKind::kDeviationDetected, user_id_,
-                     reply.ctr, gctr_,
+                     reply.ctr, gctr(),
                      "server answered a different transaction");
   }
-  if (reply.ctr < gctr_) {
+  if (reply.ctr < gctr()) {
     return Deviation(
-        util::AuditEventKind::kCounterRegression, user_id_, reply.ctr, gctr_,
+        util::AuditEventKind::kCounterRegression, user_id_, reply.ctr, gctr(),
         "server presented counter " + std::to_string(reply.ctr) +
-            " older than one already seen (" + std::to_string(gctr_) + ")");
+            " older than one already seen (" + std::to_string(gctr()) + ")");
   }
 
   // Walk the VO chain: each sub-op's proof must be rooted at the state the
@@ -421,7 +414,7 @@ Result<ServerReply> VerifyingClient::Execute(
       util::AuditEvent event(util::AuditEventKind::kVoMismatch);
       event.user = user_id_;
       event.ctr = reply.ctr;
-      event.gctr = gctr_;
+      event.gctr = gctr();
       event.expected_digest = *chain_root;
       event.actual_digest = root;
       event.detail =
@@ -439,7 +432,7 @@ Result<ServerReply> VerifyingClient::Execute(
       auto rec = FileRecord::Deserialize(*value);
       if (!rec.ok()) {
         return Deviation(util::AuditEventKind::kVoMismatch, user_id_, reply.ctr,
-                         gctr_, "server stored a malformed file record");
+                         gctr(), "server stored a malformed file record");
       }
       record = std::move(rec).ValueOrDie();
     }
@@ -454,7 +447,7 @@ Result<ServerReply> VerifyingClient::Execute(
       case FileOp::Kind::kCheckout:
         if (value.has_value() != f.found) {
           return Deviation(util::AuditEventKind::kVoMismatch, user_id_,
-                           reply.ctr, gctr_,
+                           reply.ctr, gctr(),
                            "server's existence claim contradicts the proof");
         }
         break;
@@ -479,7 +472,7 @@ Result<ServerReply> VerifyingClient::Execute(
         }
         if (reply.applied && record.has_value() != f.found) {
           return Deviation(util::AuditEventKind::kVoMismatch, user_id_,
-                           reply.ctr, gctr_,
+                           reply.ctr, gctr(),
                            "server's removal claim contradicts the proof");
         }
         break;
@@ -490,7 +483,7 @@ Result<ServerReply> VerifyingClient::Execute(
 
   if (expected_applies != reply.applied) {
     return Deviation(
-        util::AuditEventKind::kVoMismatch, user_id_, reply.ctr, gctr_,
+        util::AuditEventKind::kVoMismatch, user_id_, reply.ctr, gctr(),
         "server mis-decided the transaction (authenticated revisions say "
         "applied should be " +
             std::string(expected_applies ? "true" : "false") + ")");
@@ -501,19 +494,10 @@ Result<ServerReply> VerifyingClient::Execute(
   // this point — do not touch it.)
   const ServerReply verified =
       TCVS_ENDORSE(std::move(quarantined), ChainVerified{});
-  FoldTransaction(pre_root, *chain_root, verified.ctr, verified.creator);
+  registers_.Fold(StateFingerprint(pre_root, verified.ctr, verified.creator),
+                  StateFingerprint(*chain_root, verified.ctr + 1, user_id_),
+                  verified.ctr);
   return verified;
-}
-
-void VerifyingClient::FoldTransaction(const crypto::Digest& pre_root,
-                                      const crypto::Digest& post_root,
-                                      uint64_t ctr, uint32_t creator) {
-  sigma_ = XorBytes(sigma_, StateFingerprint(pre_root, ctr, creator));
-  const crypto::Digest post_fp = StateFingerprint(post_root, ctr + 1, user_id_);
-  sigma_ = XorBytes(sigma_, post_fp);
-  last_ = post_fp;
-  gctr_ = ctr + 1;
-  ++lctr_;
 }
 
 Result<FileRecord> VerifyingClient::Checkout(const std::string& path) {
@@ -587,9 +571,9 @@ Result<std::vector<std::pair<std::string, uint64_t>>> VerifyingClient::ListDir(
       util::MetricsRegistry::Instance().GetLatency(
           "cvs.client.range_vo_bytes");
   vo_bytes->Record(reply.range_vo.size());
-  if (reply.ctr < gctr_) {
+  if (reply.ctr < gctr()) {
     return Deviation(util::AuditEventKind::kCounterRegression, user_id_,
-                     reply.ctr, gctr_, "server presented a stale counter");
+                     reply.ctr, gctr(), "server presented a stale counter");
   }
   TCVS_ASSIGN_OR_RETURN(util::Tainted<mtree::RangeVO> vo,
                         mtree::RangeVO::Deserialize(reply.range_vo));
@@ -604,7 +588,7 @@ Result<std::vector<std::pair<std::string, uint64_t>>> VerifyingClient::ListDir(
     auto rec = FileRecord::Deserialize(value);
     if (!rec.ok()) {
       return Deviation(util::AuditEventKind::kVoMismatch, user_id_, reply.ctr,
-                       gctr_, "server stored a malformed file record");
+                       gctr(), "server stored a malformed file record");
     }
     out.emplace_back(util::ToString(key), rec->revision);
   }
@@ -612,7 +596,9 @@ Result<std::vector<std::pair<std::string, uint64_t>>> VerifyingClient::ListDir(
   // the endorsed copy; the range proof was the endorsement.
   const ListReply verified =
       TCVS_ENDORSE(std::move(quarantined), mtree::VoVerified{});
-  FoldTransaction(root, root, verified.ctr, verified.creator);
+  registers_.Fold(StateFingerprint(root, verified.ctr, verified.creator),
+                  StateFingerprint(root, verified.ctr + 1, user_id_),
+                  verified.ctr);
   return out;
 }
 
@@ -636,59 +622,18 @@ Status VerifyingClient::SyncCheck(const std::vector<ClientState>& states) {
   if (states.empty()) {
     return Status::InvalidArgument("sync-up needs at least one client state");
   }
-  Bytes x(crypto::kDigestSize, 0);
-  uint64_t lctr_sum = 0;
-  uint64_t max_gctr = 0;
-  for (const auto& s : states) {
-    if (s.sigma.size() != crypto::kDigestSize ||
-        s.last.size() != crypto::kDigestSize) {
-      return Status::InvalidArgument("malformed client state");
-    }
-    x = XorBytes(x, s.sigma);
-    lctr_sum += s.lctr;
-    max_gctr = std::max(max_gctr, s.gctr);
-  }
-  const Bytes f0 = core::InitialFingerprint(/*tagged=*/true);
-  for (const auto& s : states) {
-    if (XorBytes(f0, s.last) == x) {
-      util::AuditEvent pass(util::AuditEventKind::kSyncUpPass);
-      pass.user = s.user_id;
-      pass.ctr = max_gctr;
-      pass.gctr = max_gctr;
-      pass.lctr_sum = lctr_sum;
-      util::AuditLog::Instance().Emit(std::move(pass));
-      return Status::OK();
-    }
-  }
-  // No participant's final fingerprint explains the folded transitions:
-  // record both the sync failure and the fork evidence. The digests name
-  // the two sides of the divergence — what the transitions fold to versus
-  // what the highest-counter participant last observed.
+  core::Telescope telescope(core::Closure::kFingerprints,
+                            {core::InitialFingerprint(/*tagged=*/true)});
+  // Fork evidence contrasts the pool with the highest-counter participant's
+  // view of the history.
   const ClientState* latest = &states.front();
   for (const auto& s : states) {
-    if (s.gctr >= latest->gctr) latest = &s;
+    telescope.Add(s.registers);
+    if (s.registers.gctr >= latest->registers.gctr) latest = &s;
   }
-  util::AuditEvent fail(util::AuditEventKind::kSyncUpFail);
-  fail.user = latest->user_id;
-  fail.ctr = max_gctr;
-  fail.gctr = max_gctr;
-  fail.lctr_sum = lctr_sum;
-  fail.detail = "sync-up over " + std::to_string(states.size()) +
-                " clients failed to close the XOR telescope";
-  util::AuditLog::Instance().Emit(std::move(fail));
-  util::AuditEvent fork(util::AuditEventKind::kForkDetected);
-  fork.user = latest->user_id;
-  fork.ctr = max_gctr;
-  fork.gctr = max_gctr;
-  fork.lctr_sum = lctr_sum;
-  fork.expected_digest = XorBytes(f0, latest->last);
-  fork.actual_digest = x;
-  fork.detail = "fork/partition detected at sync (gctr " +
-                std::to_string(max_gctr) + ")";
-  util::AuditLog::Instance().Emit(std::move(fork));
-  return Status::DeviationDetected(
-      "sync-up failed: the clients' observed transitions do not form a "
-      "single serial history — the server forked or replayed state");
+  return telescope.Verdict(
+      latest->user_id, latest->registers, /*epoch=*/0,
+      "sync-up over " + std::to_string(states.size()) + " clients");
 }
 
 }  // namespace cvs

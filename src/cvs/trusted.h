@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/fingerprint.h"
+#include "core/registers.h"
 #include "crypto/translog.h"
 #include "cvs/repository.h"
 #include "mtree/btree.h"
@@ -187,10 +188,7 @@ class UntrustedServer : public ServerApi {
 /// can persist it between invocations.
 struct ClientState {
   uint32_t user_id = 0;
-  Bytes sigma;
-  Bytes last;
-  uint64_t gctr = 0;
-  uint64_t lctr = 0;
+  core::Registers registers;
   /// Transparency-log checkpoint (0/empty before the first audit).
   uint64_t log_size = 0;
   Bytes log_root;
@@ -204,7 +202,7 @@ struct ClientState {
 /// \brief A user's verifying CVS client over any ServerApi transport: full
 /// Protocol II verification per reply (VO chain consistency, answer
 /// authentication, local replay of updates, counter monotonicity, σ/last
-/// register folding). Client state is O(1) (§2.2.5).
+/// register folding through core::Registers). Client state is O(1) (§2.2.5).
 class VerifyingClient {
  public:
   VerifyingClient(uint32_t user_id, ServerApi* server);
@@ -245,10 +243,10 @@ class VerifyingClient {
 
   /// \name Protocol II registers.
   /// @{
-  const Bytes& sigma() const { return sigma_; }
-  const Bytes& last() const { return last_; }
-  uint64_t gctr() const { return gctr_; }
-  uint64_t lctr() const { return lctr_; }
+  const Bytes& sigma() const { return registers_.sigma; }
+  const Bytes& last() const { return registers_.last; }
+  uint64_t gctr() const { return registers_.gctr; }
+  uint64_t lctr() const { return registers_.lctr; }
   /// @}
 
   /// Snapshot for persistence.
@@ -258,7 +256,8 @@ class VerifyingClient {
   static Status SyncUp(const std::vector<VerifyingClient*>& clients);
 
   /// The same check over persisted states (CLI: users mail each other their
-  /// states and anyone runs the check).
+  /// states and anyone runs the check): core::Telescope from f0, with the
+  /// highest-counter state as the observer its fork evidence names.
   static Status SyncCheck(const std::vector<ClientState>& states);
 
   /// Fetches the server's transparency-log checkpoint, verifies it extends
@@ -280,13 +279,6 @@ class VerifyingClient {
   Result<ServerReply> Execute(const std::vector<FileOp>& ops,
                               std::vector<std::optional<FileRecord>>* pre_records);
 
-  /// Folds one verified transaction into the Protocol II registers. The
-  /// arguments must derive from an endorsed reply — this is the register
-  /// trusted sink.
-  TCVS_TRUSTED_SINK void FoldTransaction(const crypto::Digest& pre_root,
-                                         const crypto::Digest& post_root,
-                                         uint64_t ctr, uint32_t creator);
-
   /// Advances the transparency-log checkpoint after a verified consistency
   /// proof — the audit trusted sink.
   TCVS_TRUSTED_SINK void AdvanceLogCheckpoint(uint64_t size,
@@ -294,10 +286,7 @@ class VerifyingClient {
 
   uint32_t user_id_;
   ServerApi* server_;
-  Bytes sigma_;
-  Bytes last_;
-  uint64_t gctr_ = 0;
-  uint64_t lctr_ = 0;
+  core::Registers registers_;
   uint64_t log_size_ = 0;
   crypto::Digest log_root_;
   mtree::TreeParams params_;

@@ -227,16 +227,8 @@ ScheduleOutcome RunSchedule(const CampaignSchedule& schedule) {
     }
     // Invariant (b): the detection must leave digest-pair fork evidence in
     // the audit log (kForkDetected / kVoMismatch carry both digests).
-    bool evidence = false;
-    for (const util::AuditEvent& ev :
-         util::AuditLog::Instance().SnapshotSince(cursor)) {
-      if ((ev.kind == util::AuditEventKind::kForkDetected ||
-           ev.kind == util::AuditEventKind::kVoMismatch) &&
-          !ev.expected_digest.empty() && !ev.actual_digest.empty()) {
-        evidence = true;
-        break;
-      }
-    }
+    const bool evidence =
+        util::AuditLog::Instance().HasForkEvidenceSince(cursor);
     if (!evidence && out.violation.empty()) {
       out.missing_evidence = true;
       out.violation =

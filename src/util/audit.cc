@@ -192,6 +192,19 @@ std::vector<AuditEvent> AuditLog::SnapshotSince(uint64_t min_seq) const {
   return out;
 }
 
+bool AuditLog::HasForkEvidenceSince(uint64_t min_seq) const {
+  MutexLock lock(&mu_);
+  for (const AuditEvent& e : events_) {
+    if (e.seq > min_seq &&
+        (e.kind == AuditEventKind::kForkDetected ||
+         e.kind == AuditEventKind::kVoMismatch) &&
+        !e.expected_digest.empty() && !e.actual_digest.empty()) {
+      return true;
+    }
+  }
+  return false;
+}
+
 uint64_t AuditLog::total_emitted() const {
   MutexLock lock(&mu_);
   return total_emitted_;

@@ -134,6 +134,11 @@ class AuditLog {
   std::vector<AuditEvent> SnapshotSince(uint64_t min_seq) const
       TCVS_EXCLUDES(mu_);
 
+  /// True iff a retained event with seq > min_seq is digest-pair fork
+  /// evidence: kForkDetected or kVoMismatch carrying BOTH divergent digests.
+  /// Detection without such an event is an assertion, not an audit trail.
+  bool HasForkEvidenceSince(uint64_t min_seq) const TCVS_EXCLUDES(mu_);
+
   /// Count of every event ever emitted (≥ retained size).
   uint64_t total_emitted() const TCVS_EXCLUDES(mu_);
 

@@ -150,7 +150,7 @@ TEST_F(ConcurrentServerTest, InterleavedCommitsAndReadsVerifyAndSyncUp) {
   uint64_t sum_lctr = 0;
   for (int i = 0; i < kClients; ++i) {
     total_ops += ops_issued[i];
-    sum_lctr += states[i].lctr;
+    sum_lctr += states[i].registers.lctr;
   }
   EXPECT_EQ(repo_.ctr(), total_ops);
   EXPECT_EQ(sum_lctr, total_ops);
@@ -276,7 +276,7 @@ TEST_F(ConcurrentServerTest, LostRepliesReplayIdempotentlyUnderConcurrency) {
   // commits, regardless of how many replays the fault forced.
   EXPECT_EQ(repo_.ctr(), static_cast<uint64_t>(kClients * kIterations));
   uint64_t sum_lctr = 0;
-  for (const auto& s : states) sum_lctr += s.lctr;
+  for (const auto& s : states) sum_lctr += s.registers.lctr;
   EXPECT_EQ(sum_lctr, static_cast<uint64_t>(kClients * kIterations));
   EXPECT_TRUE(cvs::VerifyingClient::SyncCheck(states).ok());
 }

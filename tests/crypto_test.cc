@@ -423,7 +423,7 @@ TEST(MerkleSigTest, GenericVerifyDispatch) {
 }
 
 // ---------------------------------------------------------------------------
-// Batched verification
+// Lock-step chain walk (WOTS keygen, sign and verify)
 // ---------------------------------------------------------------------------
 
 TEST(VerifyBatchTest, AdvanceChainsMatchesSequentialWalk) {
@@ -442,72 +442,6 @@ TEST(VerifyBatchTest, AdvanceChainsMatchesSequentialWalk) {
   }
   AdvanceChains(&chains, steps);
   EXPECT_EQ(chains, expected);
-}
-
-TEST(VerifyBatchTest, MatchesSequentialVerifyAcrossSchemes) {
-  MerkleSigner mss(util::ToBytes("batch-mss-seed"), 3);
-  WinternitzSigner wots(util::ToBytes("batch-wots-seed"));
-  LamportSigner lamport(util::ToBytes("batch-lamport-seed"));
-
-  std::vector<Bytes> messages, signatures, keys;
-  std::vector<SchemeId> schemes;
-  for (int i = 0; i < 4; ++i) {
-    messages.push_back(util::ToBytes("mss message " + std::to_string(i)));
-    signatures.push_back(*mss.Sign(messages.back()));
-    keys.push_back(mss.public_key());
-    schemes.push_back(SchemeId::kMerkleSig);
-  }
-  messages.push_back(util::ToBytes("wots message"));
-  signatures.push_back(*wots.Sign(messages.back()));
-  keys.push_back(wots.public_key());
-  schemes.push_back(SchemeId::kWinternitz);
-  messages.push_back(util::ToBytes("lamport message"));
-  signatures.push_back(*lamport.Sign(messages.back()));
-  keys.push_back(lamport.public_key());
-  schemes.push_back(SchemeId::kLamport);
-
-  std::vector<VerifyRequest> requests;
-  for (size_t i = 0; i < messages.size(); ++i) {
-    requests.push_back({schemes[i], &keys[i], &messages[i], &signatures[i]});
-  }
-  std::vector<Status> results = VerifyBatch(requests);
-  ASSERT_EQ(results.size(), requests.size());
-  for (size_t i = 0; i < results.size(); ++i) {
-    EXPECT_TRUE(results[i].ok()) << i << ": " << results[i].ToString();
-    EXPECT_TRUE(Verify(schemes[i], keys[i], messages[i], signatures[i]).ok())
-        << i;
-  }
-}
-
-TEST(VerifyBatchTest, InvalidItemsFailIndividually) {
-  MerkleSigner mss(util::ToBytes("batch-bad-seed"), 3);
-  Bytes good_msg = util::ToBytes("good");
-  Bytes good_sig = *mss.Sign(good_msg);
-  Bytes wrong_msg = util::ToBytes("evil");
-  Bytes tampered_sig = *mss.Sign(good_msg);
-  tampered_sig[tampered_sig.size() - 1] ^= 0x80;
-  Bytes truncated_sig(good_sig.begin(), good_sig.begin() + 8);
-  const Bytes& pk = mss.public_key();
-
-  std::vector<VerifyRequest> requests = {
-      {SchemeId::kMerkleSig, &pk, &good_msg, &good_sig},
-      {SchemeId::kMerkleSig, &pk, &wrong_msg, &good_sig},
-      {SchemeId::kMerkleSig, &pk, &good_msg, &tampered_sig},
-      {SchemeId::kMerkleSig, &pk, &good_msg, &truncated_sig},
-  };
-  std::vector<Status> results = VerifyBatch(requests);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_TRUE(results[0].ok()) << results[0].ToString();
-  EXPECT_TRUE(results[1].IsVerificationFailure());
-  EXPECT_TRUE(results[2].IsVerificationFailure());
-  EXPECT_FALSE(results[3].ok());
-  // A bad neighbor never contaminates a good item: re-verify the good one
-  // alone and batched, same verdict.
-  EXPECT_TRUE(Verify(SchemeId::kMerkleSig, pk, good_msg, good_sig).ok());
-}
-
-TEST(VerifyBatchTest, EmptyBatchIsFine) {
-  EXPECT_TRUE(VerifyBatch({}).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -529,39 +463,6 @@ TEST(KeyStoreTest, IssueAddVerify) {
   EXPECT_TRUE(store.VerifyFrom(1, msg, sig).ok());
   EXPECT_TRUE(store.VerifyFrom(1, util::ToBytes("other"), sig)
                   .IsVerificationFailure());
-}
-
-TEST(KeyStoreTest, VerifyFromBatchMatchesVerifyFrom) {
-  CertificateAuthority ca(util::ToBytes("ca-batch-seed"), /*height=*/4);
-  KeyStore store(ca.public_key());
-  std::vector<std::unique_ptr<MerkleSigner>> signers;
-  for (uint32_t u = 1; u <= 3; ++u) {
-    signers.push_back(std::make_unique<MerkleSigner>(
-        util::ToBytes("user-" + std::to_string(u)), 2));
-    ASSERT_TRUE(
-        store.Add(*ca.Issue(u, SchemeId::kMerkleSig, signers.back()->public_key()))
-            .ok());
-  }
-  std::vector<Bytes> messages, signatures;
-  for (uint32_t u = 1; u <= 3; ++u) {
-    messages.push_back(util::ToBytes("blob from " + std::to_string(u)));
-    signatures.push_back(*signers[u - 1]->Sign(messages.back()));
-  }
-  Bytes unknown_msg = util::ToBytes("who");
-  std::vector<KeyStore::SignatureClaim> claims = {
-      {1, &messages[0], &signatures[0]},
-      {2, &messages[1], &signatures[1]},
-      {99, &unknown_msg, &signatures[0]},  // No certificate.
-      {3, &messages[2], &signatures[2]},
-      {3, &messages[1], &signatures[2]},  // Wrong message for this signature.
-  };
-  std::vector<Status> verdicts = store.VerifyFromBatch(claims);
-  ASSERT_EQ(verdicts.size(), 5u);
-  EXPECT_TRUE(verdicts[0].ok()) << verdicts[0].ToString();
-  EXPECT_TRUE(verdicts[1].ok()) << verdicts[1].ToString();
-  EXPECT_TRUE(verdicts[2].IsNotFound());
-  EXPECT_TRUE(verdicts[3].ok()) << verdicts[3].ToString();
-  EXPECT_TRUE(verdicts[4].IsVerificationFailure());
 }
 
 TEST(KeyStoreTest, ForgedCertificateRejected) {

@@ -7,6 +7,7 @@
 
 #include "core/forensics.h"
 #include "core/scenario.h"
+#include "util/audit.h"
 #include "workload/workload.h"
 
 namespace tcvs {
@@ -192,11 +193,17 @@ TEST_P(TreeSyncProtocolTest, ForkDetected) {
   workload::PartitionableOptions opts;
   opts.partition_round = 80;
   opts.b_ops_after_dependency = 20;
+  const uint64_t audit_cursor = util::AuditLog::Instance().total_emitted();
   Scenario scenario(config, workload::MakePartitionableWorkload(opts));
   ScenarioReport r = scenario.Run(5000);
   ASSERT_TRUE(r.detected);
   EXPECT_NE(r.detection_reason.find("aggregation"), std::string::npos)
       << r.detection_reason;
+  // Protocol II's tree check compares digests and leaves them as fork
+  // evidence; Protocol I's compares counters, which carry no digest pair.
+  if (GetParam() == ProtocolKind::kProtocolII) {
+    EXPECT_TRUE(util::AuditLog::Instance().HasForkEvidenceSince(audit_cursor));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, TreeSyncProtocolTest,

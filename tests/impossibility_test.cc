@@ -65,17 +65,8 @@ workload::Workload GroupWorkload(bool include_a, bool include_b) {
   return w;
 }
 
-struct Registers {
-  Bytes sigma;
-  Bytes last;
-  uint64_t gctr;
-  uint64_t lctr;
-  bool operator==(const Registers&) const = default;
-};
-
 Registers Capture(Scenario* scenario, sim::AgentId id) {
-  ProtocolUser* user = scenario->user(id);
-  return Registers{user->sigma(), user->last(), user->gctr(), user->lctr()};
+  return scenario->user(id)->registers();
 }
 
 TEST(Theorem31Test, PartitionedUsersAreBitForBitIndistinguishable) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/scenario.h"
+#include "util/audit.h"
 #include "workload/workload.h"
 
 namespace tcvs {
@@ -194,6 +195,7 @@ TEST(ForkAttackTest, ProtocolIIIDetectsWithinTwoEpochs) {
   opts.num_epochs = 10;
   opts.epoch_rounds = 50;
   opts.ops_per_epoch = 3;
+  const uint64_t audit_cursor = util::AuditLog::Instance().total_emitted();
   Scenario scenario(config, workload::MakeEpochWorkload(opts));
   ScenarioReport report = scenario.Run(10 * 50 + 200);
   ASSERT_TRUE(report.detected) << "fork across epochs must be caught by audit";
@@ -201,6 +203,10 @@ TEST(ForkAttackTest, ProtocolIIIDetectsWithinTwoEpochs) {
   // in epoch floor(120/50)=2; its audit runs in epoch 4; allow the audit
   // round-trip itself.
   EXPECT_LE(report.detection_round, (2 + 3) * 50 + 20);
+  // The epoch audit is the same telescope check as a sync-up, so it leaves
+  // the same digest-pair fork evidence.
+  EXPECT_TRUE(util::AuditLog::Instance().HasForkEvidenceSince(audit_cursor))
+      << report.detection_reason;
 }
 
 // ---------------------------------------------------------------------------
@@ -317,6 +323,92 @@ TEST(ProtocolIIITest, StaleEpochStateDetected) {
   Scenario scenario(P3Config(AttackKind::kStaleEpochState, 2), P3Workload());
   ScenarioReport report = scenario.Run(8 * 50 + 200);
   ASSERT_TRUE(report.detected);
+}
+
+// ---------------------------------------------------------------------------
+// Malformed peer registers: a peer's report of the wrong size is a
+// detection, never an abort of the evaluating user.
+// ---------------------------------------------------------------------------
+
+// A rogue user answering every sync-up announcement with registers of the
+// wrong size: in broadcast mode a well-sized but nonzero σ (so no honest
+// user's state closes the pool before the rogue's `last` is read) with a
+// 31-byte `last`, in aggregation-tree mode a 31-byte subtree σ sent to its
+// parent.
+class MalformedRegisterPeer : public sim::Agent {
+ public:
+  MalformedRegisterPeer(sim::AgentId id, SyncMode mode)
+      : id_(id), mode_(mode) {}
+
+  void OnRound(sim::RoundContext* ctx) override {
+    for (const sim::Message& msg : ctx->inbox()) {
+      if (msg.type != kMsgSyncAnnounce) continue;
+      auto announce = SyncAnnounce::Deserialize(msg.payload);
+      if (!announce.ok()) continue;
+      const uint64_t sync_id = announce->untrusted().sync_id;
+      if (mode_ == SyncMode::kBroadcast) {
+        SyncReport report;
+        report.sync_id = sync_id;
+        report.user = id_;
+        report.sigma = Bytes(crypto::kDigestSize, 0x5A);
+        report.last = Bytes(crypto::kDigestSize - 1, 0);
+        ctx->Broadcast(kMsgSyncReport, report.Serialize());
+      } else {
+        AggReport agg;
+        agg.sync_id = sync_id;
+        agg.user = id_;
+        agg.sigma_xor = Bytes(crypto::kDigestSize - 1, 0);
+        ctx->Send(id_ / 2, kMsgAggReport, agg.Serialize());
+      }
+    }
+  }
+
+ private:
+  sim::AgentId id_;
+  SyncMode mode_;
+};
+
+// Honest Protocol II users 1..n−1 and the rogue as user n, against an
+// honest server.
+sim::SimReport RunWithMalformedPeer(SyncMode mode, uint32_t n) {
+  ScenarioConfig config = BaseConfig(ProtocolKind::kProtocolII, n);
+  config.sync_mode = mode;
+  config.sync_k = 2;
+  sim::Kernel kernel;
+  kernel.AddAgent(sim::kServerId,
+                  std::make_shared<ProtocolServer>(config, Bytes{}, 0));
+  for (workload::UserScript& script : SmallCvsWorkload(n - 1, 4)) {
+    ProtocolUser::Options opts;
+    opts.config = config;
+    opts.id = script.user;
+    opts.num_users = n;
+    opts.script = std::move(script);
+    const sim::AgentId id = opts.id;
+    kernel.AddAgent(id, std::make_shared<ProtocolUser>(std::move(opts)));
+    kernel.RegisterUser(id);
+  }
+  kernel.AddAgent(n, std::make_shared<MalformedRegisterPeer>(n, mode));
+  kernel.RegisterUser(n);
+  return kernel.Run(2000);
+}
+
+TEST(MalformedRegisterTest, BroadcastReportWithShortLastIsDetected) {
+  sim::SimReport report = RunWithMalformedPeer(SyncMode::kBroadcast, 2);
+  ASSERT_TRUE(report.detected);
+  EXPECT_EQ(report.detector, 1u);
+  EXPECT_NE(report.detection_reason.find("malformed sync report"),
+            std::string::npos)
+      << report.detection_reason;
+}
+
+TEST(MalformedRegisterTest, AggregationTreeReportWithShortSigmaIsDetected) {
+  // User 1 is the root; user 2 (honest) and user 3 (rogue) are its children.
+  sim::SimReport report = RunWithMalformedPeer(SyncMode::kAggregationTree, 3);
+  ASSERT_TRUE(report.detected);
+  EXPECT_EQ(report.detector, 1u);
+  EXPECT_NE(report.detection_reason.find("malformed aggregation report"),
+            std::string::npos)
+      << report.detection_reason;
 }
 
 // ---------------------------------------------------------------------------

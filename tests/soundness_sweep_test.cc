@@ -24,22 +24,6 @@ namespace {
 
 class SoundnessSweep : public ::testing::TestWithParam<uint64_t> {};
 
-// True iff the audit log gained (since `min_seq`) a fork-evidence event —
-// fork_detected or vo_mismatch — carrying BOTH divergent digests. Every
-// detected run must leave one: detection without evidence is an assertion,
-// not an audit trail.
-bool HasForkEvidenceSince(uint64_t min_seq) {
-  for (const util::AuditEvent& ev :
-       util::AuditLog::Instance().SnapshotSince(min_seq)) {
-    if ((ev.kind == util::AuditEventKind::kForkDetected ||
-         ev.kind == util::AuditEventKind::kVoMismatch) &&
-        !ev.expected_digest.empty() && !ev.actual_digest.empty()) {
-      return true;
-    }
-  }
-  return false;
-}
-
 TEST_P(SoundnessSweep, HonestServerNeverAccused) {
   util::Rng rng(GetParam() * 1000 + 1);
   for (int iter = 0; iter < 6; ++iter) {
@@ -120,7 +104,7 @@ TEST_P(SoundnessSweep, RandomAttacksDetectedAndNeverBeforeEngaging) {
       ASSERT_GE(r.detection_round, r.attack_engaged_round) << "iter " << iter;
       // Forensics: every detection leaves a typed fork-evidence audit event
       // with both divergent digests, whatever the attack primitive was.
-      ASSERT_TRUE(HasForkEvidenceSince(audit_cursor))
+      ASSERT_TRUE(util::AuditLog::Instance().HasForkEvidenceSince(audit_cursor))
           << "iter " << iter << ": detection without digest-pair evidence ("
           << r.detection_reason << ")";
     } else {

@@ -346,7 +346,7 @@ TEST(ClientStateTest, SyncCheckOverPersistedStates) {
   EXPECT_TRUE(VerifyingClient::SyncCheck({a.state(), b.state()}).ok());
   // Corrupt one register: the check must fail.
   ClientState bad = b.state();
-  bad.sigma[0] ^= 1;
+  bad.registers.sigma[0] ^= 1;
   EXPECT_TRUE(
       VerifyingClient::SyncCheck({a.state(), bad}).IsDeviationDetected());
 }

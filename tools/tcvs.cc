@@ -344,10 +344,10 @@ int main(int argc, char** argv) {
     auto state = cvs::ClientState::Deserialize(*data);
     if (!state.ok()) return Fail(state.status());
     std::printf("user=%u lctr=%llu gctr=%llu\nsigma=%s\nlast =%s\n",
-                state->user_id, (unsigned long long)state->lctr,
-                (unsigned long long)state->gctr,
-                util::HexEncode(state->sigma).c_str(),
-                util::HexEncode(state->last).c_str());
+                state->user_id, (unsigned long long)state->registers.lctr,
+                (unsigned long long)state->registers.gctr,
+                util::HexEncode(state->registers.sigma).c_str(),
+                util::HexEncode(state->registers.last).c_str());
     return 0;
   }
 
